@@ -48,6 +48,7 @@ from repro.audit.checks import (
 )
 from repro.audit.evidence import (
     DecryptionTranscript,
+    EvidenceLog,
     TagChainEvidence,
     TallyEvidence,
     build_tally_evidence,
@@ -68,6 +69,7 @@ __all__ = [
     "DecryptionTranscript",
     "DistributedVerifier",
     "EagerVerifier",
+    "EvidenceLog",
     "StreamingVerifier",
     "TagChainEvidence",
     "TallyEvidence",

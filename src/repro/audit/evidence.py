@@ -21,14 +21,19 @@ the bundle is *self-describing*: an auditor needs the bundle, the board and
 the claimed result — no live authority objects, no secrets.
 
 Generation is opt-in (``TallyPipeline(collect_evidence=True)`` /
-``ElectionConfig.audit_evidence``) because the tagging-step proofs cost a
-few extra exponentiations per ciphertext per member.
+``ElectionConfig.audit_evidence``).  The tally's tag and decrypt stages emit
+these transcripts in the same pass that derives the tags and plaintexts
+(into an :class:`EvidenceLog`), so evidence costs only its proofs: per
+member, two tagging proofs per tag and one share proof per decryption —
+with ``n`` members, ``6n`` variable-base exponentiations and ``3n``
+generator powers per tag instead of ``3n`` and none, and ``2n + n`` per
+counted vote instead of ``n`` (see ``docs/performance.md``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import List, Tuple
 
 from repro.crypto.dkg import DistributedKeyGeneration
 from repro.crypto.elgamal import DecryptionShare, ElGamal, ElGamalCiphertext
@@ -46,11 +51,8 @@ class DecryptionTranscript:
 
     def plaintext(self) -> GroupElement:
         """Recombine the claimed shares (correctness rests on the share proofs)."""
-        group = self.ciphertext.c1.group
-        factor = group.identity
-        for share in self.shares:
-            factor = factor * share.share
-        return self.ciphertext.c2 * factor.inverse()
+        elgamal = ElGamal(self.ciphertext.group)
+        return elgamal.combine_decryption_factors(self.ciphertext, [share.share for share in self.shares])
 
 
 @dataclass(frozen=True)
@@ -81,32 +83,53 @@ class TallyEvidence:
     decryptions: Tuple[DecryptionTranscript, ...]
 
 
+@dataclass
+class EvidenceLog:
+    """The transcripts a tally's tag and decrypt stages emit as they run.
+
+    Each list has exactly one writer — the registration-tag derivation, the
+    ballot tag stage, the decrypt stage — appending in publish order, so
+    the streaming schedule's stage threads need no lock.
+    :func:`build_tally_evidence` freezes the log into a
+    :class:`TallyEvidence`.
+    """
+
+    registration_tags: List[TagChainEvidence] = field(default_factory=list)
+    ballot_tags: List[TagChainEvidence] = field(default_factory=list)
+    decryptions: List[DecryptionTranscript] = field(default_factory=list)
+
+
 def decryption_transcript(
-    dkg: DistributedKeyGeneration, ciphertext: ElGamalCiphertext
+    dkg: DistributedKeyGeneration, ciphertext: ElGamalCiphertext, verify: bool = False
 ) -> DecryptionTranscript:
-    """Produce the publishable transcript of one threshold decryption."""
+    """Produce the publishable transcript of one threshold decryption.
+
+    With ``verify``, the share proofs are checked before the transcript is
+    returned (:class:`~repro.errors.VerificationError` otherwise).
+    """
     elgamal = ElGamal(dkg.group)
-    return DecryptionTranscript(
-        ciphertext=ciphertext,
-        public_shares=tuple(member.public for member in dkg.members),
-        shares=tuple(member.decryption_share(elgamal, ciphertext) for member in dkg.members),
-    )
+    public_shares = tuple(member.public for member in dkg.members)
+    shares = tuple(member.decryption_share(elgamal, ciphertext) for member in dkg.members)
+    if verify:
+        elgamal.combine_decryption_shares(ciphertext, public_shares, shares, verify=True)
+    return DecryptionTranscript(ciphertext=ciphertext, public_shares=public_shares, shares=shares)
 
 
 def tag_chain_evidence(
     dkg: DistributedKeyGeneration,
     tagging: TaggingAuthority,
     ciphertext: ElGamalCiphertext,
+    verify: bool = False,
 ) -> TagChainEvidence:
     """Blind ``ciphertext`` with per-step proofs and transcribe its decryption.
 
     The blinded value (and hence the tag) is bit-identical to the proof-less
-    path the filter takes — same exponentiation chain, proof nonces never
-    touch the output — so evidence generated after the fact matches the
-    published tag byte lists exactly.
+    path (:meth:`TaggingAuthority.blind_and_decrypt`) — same exponentiation
+    chain, proof nonces never touch the output — so the tally derives its
+    tag bytes from this evidence whenever it collects evidence at all.
     """
     blinded, steps = tagging.blind_ciphertext_with_proof(ciphertext)
-    decryption = decryption_transcript(dkg, blinded)
+    decryption = decryption_transcript(dkg, blinded, verify=verify)
     return TagChainEvidence(
         source=ciphertext,
         steps=tuple(steps),
@@ -119,22 +142,13 @@ def tag_chain_evidence(
 def build_tally_evidence(
     dkg: DistributedKeyGeneration,
     tagging: TaggingAuthority,
-    mixed_registrations: Sequence[ElGamalCiphertext],
-    mixed_ballot_credentials: Sequence[ElGamalCiphertext],
-    counted: Sequence[ElGamalCiphertext],
+    log: EvidenceLog,
 ) -> TallyEvidence:
-    """Assemble the full evidence bundle for one tally run."""
-    registration_tags: List[TagChainEvidence] = [
-        tag_chain_evidence(dkg, tagging, ciphertext) for ciphertext in mixed_registrations
-    ]
-    ballot_tags: List[TagChainEvidence] = [
-        tag_chain_evidence(dkg, tagging, ciphertext) for ciphertext in mixed_ballot_credentials
-    ]
-    decryptions = [decryption_transcript(dkg, ciphertext) for ciphertext in counted]
+    """Assemble the evidence bundle of one tally run from its stages' log."""
     return TallyEvidence(
         tagging_commitments=tuple(tagging.commitments),
         member_public_keys=tuple(dkg.member_public_keys),
-        registration_tags=tuple(registration_tags),
-        ballot_tags=tuple(ballot_tags),
-        decryptions=tuple(decryptions),
+        registration_tags=tuple(log.registration_tags),
+        ballot_tags=tuple(log.ballot_tags),
+        decryptions=tuple(log.decryptions),
     )

@@ -33,6 +33,20 @@ from repro.crypto.hashing import scalar_bytes
 from repro.errors import ProtocolError
 
 
+def _power(base: GroupElement, scalar: int) -> GroupElement:
+    """``base ** scalar``, with the group generator on its fixed-base table.
+
+    Statements often use ``g`` as one of their bases (a credential tag's
+    ``C1 = g^x``, a tagging member's commitment ``g^{z_i}``); those powers
+    go through :meth:`Group.power`, which is bit-identical and uses the warm
+    table when one exists.
+    """
+    group = base.group
+    if base == group.generator:
+        return group.power(scalar)
+    return base ** scalar
+
+
 @dataclass(frozen=True)
 class ChaumPedersenStatement:
     """The public statement: ``C1 = g^x`` and ``X = h^x`` for bases (g, h)."""
@@ -111,8 +125,8 @@ class ChaumPedersenProver:
         group = self.statement.group
         self._nonce = nonce if nonce is not None else group.random_scalar()
         self._commit = ChaumPedersenCommit(
-            commit_g=self.statement.base_g ** self._nonce,
-            commit_h=self.statement.base_h ** self._nonce,
+            commit_g=_power(self.statement.base_g, self._nonce),
+            commit_h=_power(self.statement.base_h, self._nonce),
         )
         return self._commit
 
@@ -146,8 +160,8 @@ def simulate_chaum_pedersen(
     r = response if response is not None else group.random_scalar()
     e = challenge % group.order
     commit = ChaumPedersenCommit(
-        commit_g=(statement.base_g ** r) * (statement.value_g ** e),
-        commit_h=(statement.base_h ** r) * (statement.value_h ** e),
+        commit_g=_power(statement.base_g, r) * (statement.value_g ** e),
+        commit_h=_power(statement.base_h, r) * (statement.value_h ** e),
     )
     return ChaumPedersenTranscript(statement=statement, commit=commit, challenge=e, response=r)
 
@@ -157,8 +171,8 @@ def chaum_pedersen_verify(transcript: ChaumPedersenTranscript) -> bool:
     statement = transcript.statement
     e = transcript.challenge
     r = transcript.response
-    lhs_g = (statement.base_g ** r) * (statement.value_g ** e)
-    lhs_h = (statement.base_h ** r) * (statement.value_h ** e)
+    lhs_g = _power(statement.base_g, r) * (statement.value_g ** e)
+    lhs_h = _power(statement.base_h, r) * (statement.value_h ** e)
     return lhs_g == transcript.commit.commit_g and lhs_h == transcript.commit.commit_h
 
 

@@ -15,7 +15,8 @@ key no single member knows:
 
 Decryption never reconstructs the secret: each member contributes a
 decryption share ``c1^{a_i}`` with a Chaum–Pedersen correctness proof
-(:meth:`repro.crypto.elgamal.ElGamal.decryption_share`).
+(:meth:`repro.crypto.elgamal.ElGamal.decryption_share`), or the bare factor
+when the caller neither checks nor publishes the proof.
 """
 
 from __future__ import annotations
@@ -39,7 +40,10 @@ class AuthorityShare:
     backup_shares: List[Share] = field(default_factory=list)
 
     def decryption_share(self, elgamal: ElGamal, ciphertext: ElGamalCiphertext) -> DecryptionShare:
-        return elgamal.decryption_share(self.secret, ciphertext)
+        return elgamal.decryption_share(self.secret, ciphertext, public_share=self.public)
+
+    def decryption_factor(self, elgamal: ElGamal, ciphertext: ElGamalCiphertext) -> GroupElement:
+        return elgamal.decryption_factor(self.secret, ciphertext)
 
 
 @dataclass
@@ -86,7 +90,12 @@ class DistributedKeyGeneration:
         participating: Optional[Sequence[int]] = None,
         verify: bool = True,
     ) -> GroupElement:
-        """Jointly decrypt ``ciphertext`` using all (or the listed) members."""
+        """Jointly decrypt ``ciphertext`` using all (or the listed) members.
+
+        With ``verify`` every member makes a proven share and the proofs are
+        checked before combining; without, members contribute bare factors
+        ``c1^sk_i`` (one exponentiation each, no proof to throw away).
+        """
         elgamal = ElGamal(self.group)
         indices = list(participating) if participating is not None else [m.index for m in self.members]
         by_index: Dict[int, AuthorityShare] = {m.index: m for m in self.members}
@@ -98,9 +107,12 @@ class DistributedKeyGeneration:
                 "additive DKG requires all members for decryption; "
                 "use member backup shares to recover absentees"
             )
+        if not verify:
+            factors = [by_index[i].decryption_factor(elgamal, ciphertext) for i in indices]
+            return elgamal.combine_decryption_factors(ciphertext, factors)
         shares = [by_index[i].decryption_share(elgamal, ciphertext) for i in indices]
         publics = [by_index[i].public for i in indices]
-        return elgamal.combine_decryption_shares(ciphertext, publics, shares, verify=verify)
+        return elgamal.combine_decryption_shares(ciphertext, publics, shares, verify=True)
 
     def decrypt_int(self, ciphertext: ElGamalCiphertext, max_value: int = 10_000) -> int:
         """Decrypt an exponentially-encoded integer."""

@@ -12,7 +12,7 @@ The implementation exposes:
 * the multiplicative homomorphism (used for blinding and PETs);
 * decryption *shares* with Chaum–Pedersen correctness proofs, so a threshold
   of authority members can jointly decrypt with a publicly verifiable
-  transcript.
+  transcript — or bare decryption *factors* when nothing will be published.
 """
 
 from __future__ import annotations
@@ -154,18 +154,34 @@ class ElGamal:
 
     # Threshold decryption -----------------------------------------------------
 
-    def decryption_share(self, secret_share: int, ciphertext: ElGamalCiphertext) -> DecryptionShare:
+    def decryption_factor(self, secret_share: int, ciphertext: ElGamalCiphertext) -> GroupElement:
+        """One member's decryption factor ``c1^sk_i``, without a proof.
+
+        All a tally that neither checks nor publishes shares needs: one
+        exponentiation, where a proven share adds ``c1^w`` and ``g^w``.
+        """
+        return ciphertext.c1 ** secret_share
+
+    def decryption_share(
+        self,
+        secret_share: int,
+        ciphertext: ElGamalCiphertext,
+        public_share: Optional[GroupElement] = None,
+    ) -> DecryptionShare:
         """Produce ``c1^sk_i`` with a Chaum–Pedersen proof of correctness.
 
         The proof shows log_g(pk_i) == log_c1(share), i.e. the member used the
-        same secret it committed to at DKG time.
+        same secret it committed to at DKG time.  ``public_share`` is the
+        member's published ``g^sk_i``; pass it when known, it is recomputed
+        otherwise.
         """
         group = self.group
         w = group.random_scalar()
         commitment_g = group.power(w)
         commitment_c1 = ciphertext.c1 ** w
-        share = ciphertext.c1 ** secret_share
-        public_share = group.power(secret_share)
+        share = self.decryption_factor(secret_share, ciphertext)
+        if public_share is None:
+            public_share = group.power(secret_share)
         challenge = group.hash_to_scalar(
             b"elgamal-decryption-share",
             public_share.to_bytes(),
@@ -225,9 +241,17 @@ class ElGamal:
                         raise VerificationError("invalid decryption share")
                 raise VerificationError("decryption share batch check failed")
             verify = False
-        factor = self.group.identity
-        for public_share, share in zip(public_shares, shares):
-            if verify and not self.verify_decryption_share(public_share, ciphertext, share):
-                raise VerificationError("invalid decryption share")
-            factor = factor * share.share
-        return ciphertext.c2 * factor.inverse()
+        if verify:
+            for public_share, share in zip(public_shares, shares):
+                if not self.verify_decryption_share(public_share, ciphertext, share):
+                    raise VerificationError("invalid decryption share")
+        return self.combine_decryption_factors(ciphertext, [share.share for share in shares])
+
+    def combine_decryption_factors(
+        self, ciphertext: ElGamalCiphertext, factors: Sequence[GroupElement]
+    ) -> GroupElement:
+        """Strip every member's ``c1^sk_i`` off ``c2``: the plaintext."""
+        product = self.group.identity
+        for factor in factors:
+            product = product * factor
+        return ciphertext.c2 * product.inverse()

@@ -311,6 +311,11 @@ def testing_group() -> ModPGroup:
     return _group_from_params("modp-toy-INSECURE", _TOY_P, _TOY_Q, _quadratic_residue_generator(_TOY_P))
 
 
+# Test modules import this factory by name, and its name starts with "test",
+# so pytest would otherwise collect it as a test function.
+testing_group.__test__ = False  # type: ignore[attr-defined]
+
+
 def _reset_group_caches() -> None:
     """Drop the canonical group instances (bigint backend switched).
 

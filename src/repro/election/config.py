@@ -64,8 +64,9 @@ class ElectionConfig:
 
     ``audit_evidence`` makes the tally publish tagging-chain and
     decryption-share transcripts (:class:`repro.audit.evidence.TallyEvidence`)
-    on its result, so external auditors can re-check filtering and decryption
-    — a few extra exponentiations per ciphertext per member, hence opt-in.
+    on its result, so external auditors can re-check filtering and decryption.
+    The tally then makes every tag and decryption with its proofs, in the
+    same pass — about twice the tag/decrypt exponentiations, hence opt-in.
 
     ``telemetry_spec`` selects the :mod:`repro.telemetry` observability sink
     — ``"off"`` (default: every span and counter is a no-op), ``"mem"``

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import telemetry
+from repro.audit.evidence import EvidenceLog, TagChainEvidence, tag_chain_evidence
 from repro.crypto.dkg import DistributedKeyGeneration
 from repro.crypto.elgamal import ElGamalCiphertext
 from repro.crypto.tagging import TaggingAuthority
@@ -54,6 +55,35 @@ def _blinded_tag_bytes(
 ) -> bytes:
     """One tag derivation — module-level so process executors can run it."""
     return tagging.blind_and_decrypt(dkg, ciphertext, verify=verify).to_bytes()
+
+
+def derive_tags(
+    tagging: TaggingAuthority,
+    dkg: DistributedKeyGeneration,
+    ciphertexts: Sequence[ElGamalCiphertext],
+    verify: bool,
+    executor: Optional[Executor] = None,
+    chains: Optional[List[TagChainEvidence]] = None,
+) -> List[bytes]:
+    """The blinded tag bytes of ``ciphertexts``, in order, fanned out over ``executor``.
+
+    Without ``chains`` each tag costs its blinding chain and one bare
+    decryption factor per member.  With a ``chains`` list, each tag is
+    derived with its tagging and share proofs instead
+    (:func:`~repro.audit.evidence.tag_chain_evidence`), the evidence is
+    appended to ``chains`` and the tag bytes are read off it — one pass,
+    nothing derived twice.
+    """
+    if chains is None:
+        jobs = [(tagging, dkg, ciphertext, verify) for ciphertext in ciphertexts]
+        return parallel_starmap(_blinded_tag_bytes, jobs, executor=executor)
+    derived = parallel_starmap(
+        tag_chain_evidence,
+        [(dkg, tagging, ciphertext, verify) for ciphertext in ciphertexts],
+        executor=executor,
+    )
+    chains.extend(derived)
+    return [chain.tag.to_bytes() for chain in derived]
 
 
 class TagJoiner:
@@ -112,6 +142,7 @@ def filter_ballots(
     mixed_registration_tags: Sequence[ElGamalCiphertext],
     verify: bool = True,
     executor: Optional[Executor] = None,
+    evidence: Optional[EvidenceLog] = None,
 ) -> FilterResult:
     """Match mixed ballots against mixed registration tags.
 
@@ -123,14 +154,22 @@ def filter_ballots(
 
     Tag derivation is independent per ciphertext, so both sides fan out over
     the executor in one batch; the join itself stays serial (it is a linear
-    hash join, §7.4).
+    hash join, §7.4).  With an ``evidence`` log, both sides' tag chains are
+    appended to it as the tags are derived (see :func:`derive_tags`).
     """
-    tag_jobs = [(tagging, dkg, ciphertext, verify) for ciphertext in mixed_registration_tags]
-    tag_jobs += [(tagging, dkg, credential_ciphertext, verify) for _, credential_ciphertext in mixed_pairs]
-    with telemetry.span("tally.tag", items=len(tag_jobs)):
-        all_tags = parallel_starmap(_blinded_tag_bytes, tag_jobs, executor=executor)
-    registration_tags = all_tags[: len(mixed_registration_tags)]
-    pair_tags = all_tags[len(mixed_registration_tags) :]
+    split = len(mixed_registration_tags)
+    ciphertexts = list(mixed_registration_tags) + [credential for _, credential in mixed_pairs]
+    chains: List[TagChainEvidence] = []
+    with telemetry.span("tally.tag", items=len(ciphertexts)):
+        all_tags = derive_tags(
+            tagging, dkg, ciphertexts, verify, executor=executor,
+            chains=chains if evidence is not None else None,
+        )
+    if evidence is not None:
+        evidence.registration_tags.extend(chains[:split])
+        evidence.ballot_tags.extend(chains[split:])
+    registration_tags = all_tags[:split]
+    pair_tags = all_tags[split:]
 
     joiner = TagJoiner(registration_tags)
     joiner.feed([(vote, tag) for (vote, _), tag in zip(mixed_pairs, pair_tags)])

@@ -26,7 +26,7 @@ from repro.crypto.tagging import TaggingAuthority
 from repro.ledger.backends.batched import BatchSummary, BatchedBoard
 from repro.ledger.backends.memory import MemoryBackend
 from repro.ledger.log import AppendOnlyLog
-from repro.tally.mixnet import TupleCascade, TupleOpening, tuple_mix_cascade
+from repro.tally.mixnet import TupleCascade, TupleOpening, shuffle_coins_ok, tuple_mix_cascade
 from repro.voting.ballot import make_ballot
 
 STRATEGIES = {
@@ -143,9 +143,17 @@ class TestShuffleTranscriptMutations:
         locus = _assert_same_rejection(
             _run_all(lambda: AuditPlan(cascade_checks(elgamal, dkg.public_key, inputs, tampered)))
         )
-        # The re-derived Fiat–Shamir coins (or, when they coincide, the first
-        # opening) expose the swap — either way the locus names stage 0.
-        assert locus.name.startswith("cascade[0].")
+        # Stage 0 (the swapped-in second mixer) is judged against the wrong
+        # inputs.  Its re-derived Fiat–Shamir coins expose the swap, and so
+        # does any round that opens the input side.  Only when the coins
+        # happen to match (2^-rounds) and every round opens the
+        # shadow→output side, which stays internally consistent, does stage
+        # 0 pass; then the first failure is legitimately in stage 1.
+        first = tampered.stages[0]
+        stage0_passes = shuffle_coins_ok(inputs, first) and not any(
+            round_.opens_input_side for round_ in first.rounds
+        )
+        assert locus.name.startswith("cascade[1]." if stage0_passes else "cascade[0].")
 
 
 class TestDecryptionShareMutations:

@@ -22,9 +22,11 @@ from __future__ import annotations
 import os
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
+from repro.audit.checks import audit_tally
 from repro.crypto.elgamal import ElGamal
 from repro.crypto.group import Group
 from repro.crypto.tagging import TaggingAuthority
@@ -88,7 +90,7 @@ def backends():
         executor.close()
 
 
-def _run_tally(election, executor, tagging, pipeline=None):
+def _run_tally(election, executor, tagging, pipeline=None, collect_evidence=False):
     return TallyPipeline(
         group=election.group,
         authority=election.setup.authority,
@@ -97,6 +99,7 @@ def _run_tally(election, executor, tagging, pipeline=None):
         executor=executor,
         tagging=tagging,
         pipeline=pipeline,
+        collect_evidence=collect_evidence,
     ).run(election.setup.board, NUM_OPTIONS, election.config.election_id)
 
 
@@ -164,6 +167,39 @@ def test_streamed_tally_bit_identical(monkeypatch, voted_election, backends, bac
         group, voted_election.setup.authority, voted_election.setup.board, reference,
         voted_election.config.election_id, executor=backends[backend], pipeline=STREAM_SPEC,
     )
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_streamed_tally_evidence(monkeypatch, voted_election, backends, backend):
+    """The stages emit the evidence in their own pass, on any executor.
+
+    Evidence changes nothing else that is published, its tags are the very
+    tags the join used, and the audit accepts it under both strategies.
+    """
+    group = voted_election.group
+    authority = voted_election.setup.authority
+    tagging = TaggingAuthority.create(group, authority.num_members)
+
+    _seeded_randomness(monkeypatch, 59)
+    reference = _run_tally(voted_election, SerialExecutor(), tagging, pipeline=None)
+    _seeded_randomness(monkeypatch, 59)
+    streamed = _run_tally(
+        voted_election, backends[backend], tagging, pipeline=STREAM_SPEC, collect_evidence=True
+    )
+
+    evidence = streamed.evidence
+    assert evidence is not None
+    assert replace(streamed, evidence=None) == reference
+    filter_result = streamed.filter_result
+    assert [chain.tag.to_bytes() for chain in evidence.registration_tags] == filter_result.registration_tags
+    assert [chain.tag.to_bytes() for chain in evidence.ballot_tags] == filter_result.ballot_tags
+    assert [transcript.ciphertext for transcript in evidence.decryptions] == filter_result.counted
+    for spec in ("eager", "batched"):
+        report = audit_tally(
+            group, authority, voted_election.setup.board, streamed,
+            election_id=voted_election.config.election_id, verifier=spec,
+        )
+        assert report.ok, f"{spec}: {report.summary()}"
 
 
 def test_streamed_tally_on_sqlite_board(monkeypatch, tmp_path):

@@ -1,6 +1,6 @@
-"""Streaming vs serial mix cascade — the pipelining overlap benchmark.
+"""Streaming vs reference mix cascade — the pipelining overlap benchmark.
 
-The serial cascade is a chain of barriers: mixer *i+1* waits for mixer *i*
+The reference cascade (``tuple_mix_cascade``) is a chain of barriers: mixer *i+1* waits for mixer *i*
 to finish its main output **and** all of its shadow shuffles.  The streaming
 cascade (``repro.runtime.pipeline``) hands mixer *i*'s main output shards
 downstream as they complete and computes the shadow proofs — ``rounds/(rounds
@@ -93,7 +93,7 @@ def test_streaming_cascade_overlap(benchmark):
     cpus = available_workers()
     executor = ProcessExecutor(num_workers=MIN_CPUS_FOR_SPEEDUP) if cpus >= MIN_CPUS_FOR_SPEEDUP else SerialExecutor()
     executor.warm()
-    spec = PipelineSpec(streaming=True, shard_size=SHARD_SIZE, queue_depth=QUEUE_DEPTH)
+    spec = PipelineSpec(shard_size=SHARD_SIZE, queue_depth=QUEUE_DEPTH)
 
     def serial_run():
         with _seeded_tape(0xCA5CADE):

@@ -184,8 +184,8 @@ class DeterminismRule(Rule):
     rule_id = "REP002"
     summary = "no ambient randomness, wall-clock reads, or set-iteration order in deterministic paths"
     rationale = (
-        "The tally must be bit-identical across serial, streaming, and "
-        "cluster schedules; ambient random.*, time.time(), os.urandom(), "
+        "The tally must be bit-identical across shard geometries, "
+        "executors and cluster workers; ambient random.*, time.time(), os.urandom(), "
         "datetime.now(), and iteration over sets (string hashes vary per "
         "process under hash randomization) all break replayability.  "
         "Randomness must flow through an injected random.Random (or the "
@@ -410,10 +410,10 @@ class TelemetryNameRule(Rule):
     rule_id = "REP005"
     summary = "telemetry span/counter/gauge/histogram names must be literals from repro.telemetry.names"
     rationale = (
-        "Serial and streaming schedules of the same tally must emit "
+        "Every shard geometry and executor of the same tally must emit "
         "identical span names for trace diffing and the bench gates to "
         "compare like with like; a name interpolated at the call site can "
-        "drift per schedule and leaks unbounded metric cardinality."
+        "drift per geometry and leaks unbounded metric cardinality."
     )
 
     INSTRUMENTS = frozenset({"span", "counter", "gauge", "histogram"})

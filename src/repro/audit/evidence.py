@@ -89,7 +89,7 @@ class EvidenceLog:
 
     Each list has exactly one writer — the registration-tag derivation, the
     ballot tag stage, the decrypt stage — appending in publish order, so
-    the streaming schedule's stage threads need no lock.
+    the tally pipeline's stage threads need no lock.
     :func:`build_tally_evidence` freezes the log into a
     :class:`TallyEvidence`.
     """

@@ -15,7 +15,7 @@ This module supplies that feed:
   Everything at/before the watermark is durably processed; a coordinator
   restart could resume reading at ``acked_cursor`` without re-shipping
   completed work.
-* :func:`cluster_valid_ballots` — the distributed twin of
+* :func:`cluster_valid_ballots` — the remote-executor branch of
   :meth:`repro.tally.pipeline.TallyPipeline._valid_ballots`: stream the
   ballot ledger page by page, ship each page as **one task** to a remote
   worker (batched signature verification runs worker-side), ack by cursor

@@ -70,11 +70,10 @@ class FrameKind(enum.IntEnum):
     WARM = 9       # coordinator → worker: post-auth precompute warm work
 
 
-#: A ``TASK`` payload is ``(key, mode, fn, data)`` with one optional trailing
-#: element at this index: the dispatching call's W3C-style traceparent string
-#: (:func:`repro.telemetry.format_traceparent`).  Workers must accept both
-#: lengths — the field is additive within protocol version 1, and a tracing
-#: coordinator interoperates with workers that ignore it.
+#: A ``TASK`` payload is exactly ``(key, mode, fn, data, trace)``; ``trace``,
+#: at this index, is the dispatching call's W3C-style traceparent string
+#: (:func:`repro.telemetry.format_traceparent`), or ``""`` when the call is
+#: untraced.  Workers reject any other length as a malformed frame.
 TASK_TRACE_INDEX = 4
 
 

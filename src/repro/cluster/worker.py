@@ -46,6 +46,7 @@ from repro.runtime.executor import Executor, executor_from_spec
 from repro.cluster.protocol import (
     PICKLE_CODEC,
     PROTOCOL_VERSION,
+    TASK_TRACE_INDEX,
     Codec,
     ConnectionClosed,
     Frame,
@@ -207,12 +208,15 @@ class WorkerDaemon:
         while not self._stop.is_set():
             frame = recv_frame(sock, self.codec)
             if frame.kind is FrameKind.TASK:
-                key, mode, fn, data = frame.payload[:4]
-                # Optional trailing element: the dispatching call's encoded
-                # traceparent.  Attaching it parents this task's spans under
-                # the coordinator-side dispatch span, so the events we
-                # piggyback on RESULT frames land in the originating trace.
-                carrier = frame.payload[4] if len(frame.payload) > 4 else ""
+                if not isinstance(frame.payload, (tuple, list)) or len(frame.payload) != TASK_TRACE_INDEX + 1:
+                    raise ClusterError(
+                        "malformed TASK frame from coordinator: expected (key, mode, fn, data, trace)"
+                    )
+                key, mode, fn, data, carrier = frame.payload
+                # The dispatching call's encoded traceparent ("" if untraced).
+                # Attaching it parents this task's spans under the
+                # coordinator-side dispatch span, so the events we piggyback
+                # on RESULT frames land in the originating trace.
                 context = telemetry.parse_traceparent(carrier) if carrier else None
                 token = telemetry.attach(context) if context is not None else None
                 try:

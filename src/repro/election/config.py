@@ -43,12 +43,13 @@ class ElectionConfig:
     same append commands and produces bit-identical hash chains; only
     ingestion latency and durability move.
 
-    ``pipeline_spec`` selects the tally's dataflow schedule — ``"serial"``
-    (default: each phase runs to completion) or
-    ``"stream[:shard_size[:queue_depth]]"`` (ballot shards flow through the
-    signature check, all mixers, tagging, the join and decryption
-    concurrently; see :func:`repro.runtime.pipeline.pipeline_from_spec`).
-    Both schedules publish bit-identical results; only the wall clock moves.
+    ``pipeline_spec`` sets the shard geometry of the tally's one dataflow
+    schedule, in which ballot shards flow through the signature check, all
+    mixers, tagging, the join and decryption concurrently —
+    ``"stream[:shard_size[:queue_depth]]"``, or ``"serial"`` (default: one
+    shard holding every ballot, so each phase runs to completion; see
+    :func:`repro.runtime.pipeline.pipeline_from_spec`).  Every geometry
+    publishes bit-identical results; only the wall clock moves.
 
     ``audit_spec`` selects the :mod:`repro.audit` verification strategy —
     ``"batched[:chunk]"`` (default, matching the historical ``batch=True``

@@ -217,8 +217,8 @@ class _PoolExecutor(Executor):
         pools otherwise spawn lazily, one worker per submit, so a
         partially-used pool could still fork from inside a stage thread.
         Idempotent per pool lifetime: after the first full warm, later calls
-        return immediately (the streaming tally warms before every pipeline
-        it builds).
+        return immediately (the tally warms before every pipeline it
+        builds).
         """
         if self._warmed and self._pool is not None:
             return

@@ -2,12 +2,14 @@
 
 The tally's heavy phases form a linear dataflow — read ballot shards off the
 ledger, push them through ``num_mixers`` shuffle stages, derive blinded tags,
-join against the registration tags, decrypt the survivors.  Before this
-module, each phase ran to completion before the next started, so adding a
-mixer multiplied wall-clock latency.  :class:`StreamPipeline` runs every
-stage in its own thread, connected by bounded FIFO queues, so stage *i+1*
-works on shard *k* while stage *i* works on shard *k+1* — the classic
-producer/consumer pipelining that hides per-stage latency behind overlap.
+join against the registration tags, decrypt the survivors.
+:class:`StreamPipeline` runs every stage in its own thread, connected by
+bounded FIFO queues, so stage *i+1* works on shard *k* while stage *i* works
+on shard *k+1* — the classic producer/consumer pipelining that hides
+per-stage latency behind overlap.  The tally has this one schedule; its
+geometry (:class:`PipelineSpec`) only sets how finely the stream is cut.
+With one shard holding every item it degenerates to the serial schedule,
+each phase running to completion before the next starts.
 
 Design points:
 
@@ -40,6 +42,11 @@ Design points:
   side-products (a mixer's shadow shuffles and proof) overlap with
   downstream consumption of the main output instead of serializing the
   cascade.
+* **Exclusive compute.**  Overlap only pays when stages compute elsewhere
+  (a worker pool, a cluster).  When every stage computes in the calling
+  process, an ``exclusive`` pipeline lets one stage compute at a time, so
+  its threads hand off at shard boundaries instead of contending for the
+  GIL.
 
 The scheduler is deliberately deterministic from the outside: given the same
 source shards and stages, the collected output is identical regardless of
@@ -51,22 +58,22 @@ queue sizes.
 from __future__ import annotations
 
 import abc
-import queue
+import collections
+import contextlib
+import sys
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.runtime.executor import Executor
 from repro.runtime.sharding import parallel_map
 
-#: How long a blocked queue operation waits before re-checking cancellation.
-_POLL_SECONDS = 0.05
-
-#: Default number of items per shard when a spec does not say otherwise.
+#: Items per shard for a ``"stream"`` spec that does not say otherwise.
 DEFAULT_SHARD_SIZE = 32
 
-#: Default bound (in shards) on every inter-stage queue.
+#: Bound (in shards) on every inter-stage queue for a ``"stream"`` spec
+#: that does not say otherwise, and for a :class:`StreamPipeline` built directly.
 DEFAULT_QUEUE_DEPTH = 4
 
 
@@ -79,7 +86,58 @@ class StopPipeline(Exception):
 
 
 class _Cancelled(Exception):
-    """Internal: a blocked queue operation observed the cancel event."""
+    """Internal: a queue operation or compute step observed the cancel event."""
+
+
+class _Channel:
+    """A bounded FIFO between two pipeline threads.
+
+    A blocked ``put`` or ``get`` sleeps until the other side moves or
+    :meth:`wake` reports a cancellation — it never polls, so an idle stage
+    thread costs nothing while the others compute.
+    """
+
+    def __init__(self, maxsize: int, cancelled: threading.Event):
+        self._items: Deque[Any] = collections.deque()
+        self._maxsize = maxsize
+        self._cancelled = cancelled
+        self._lock = threading.Lock()
+        self._not_empty = threading.Condition(self._lock)
+        self._not_full = threading.Condition(self._lock)
+
+    def put(self, item: Any) -> Tuple[bool, int]:
+        """Append ``item``, blocking while full; returns (blocked, depth after)."""
+        blocked = False
+        with self._lock:
+            while True:
+                if self._cancelled.is_set():
+                    raise _Cancelled()
+                if len(self._items) < self._maxsize:
+                    break
+                blocked = True
+                self._not_full.wait()
+            self._items.append(item)
+            self._not_empty.notify()
+            return blocked, len(self._items)
+
+    def get(self) -> Any:
+        """Pop the oldest item, blocking while empty."""
+        with self._lock:
+            while True:
+                if self._cancelled.is_set():
+                    raise _Cancelled()
+                if self._items:
+                    break
+                self._not_empty.wait()
+            item = self._items.popleft()
+            self._not_full.notify()
+            return item
+
+    def wake(self) -> None:
+        """Wake every blocked ``put`` and ``get``; call after setting the cancel event."""
+        with self._lock:
+            self._not_empty.notify_all()
+            self._not_full.notify_all()
 
 
 @dataclass(frozen=True)
@@ -209,9 +267,23 @@ class ShardReassembler:
 
 
 class StreamPipeline:
-    """A linear chain of :class:`Stage`s connected by bounded queues."""
+    """A linear chain of :class:`Stage`s connected by bounded queues.
 
-    def __init__(self, stages: Sequence[Stage], queue_depth: int = DEFAULT_QUEUE_DEPTH, name: str = "pipeline"):
+    With ``exclusive``, at most one stage computes at a time (while its
+    ``process``/``finish`` generator advances or its ``finalize`` runs) —
+    the source and the queue hand-offs still overlap.  Use it when every
+    stage computes in the calling process (a serial executor): overlapping
+    such stages only makes their threads contend for the GIL, which leaves
+    the CPU idle at every forced switch.
+    """
+
+    def __init__(
+        self,
+        stages: Sequence[Stage],
+        queue_depth: int = DEFAULT_QUEUE_DEPTH,
+        name: str = "pipeline",
+        exclusive: bool = False,
+    ):
         if not stages:
             raise ValueError("a pipeline needs at least one stage")
         if queue_depth < 1:
@@ -220,9 +292,14 @@ class StreamPipeline:
         self.queue_depth = queue_depth
         self.name = name
         self._cancel = threading.Event()
+        self._channels: List[_Channel] = []
         self._error_lock = threading.Lock()
         self._error: Optional[BaseException] = None
         self._ran = False
+        #: Held while a stage computes (``exclusive``), never across a queue
+        #: operation, so a stage blocked on a full queue cannot starve the
+        #: stage downstream of it.
+        self._compute_token: Any = threading.Lock() if exclusive else contextlib.nullcontext()
         #: The caller's trace context, captured by :meth:`run`.  Stage and
         #: source threads start context-clean (plain ``threading.Thread``),
         #: so each attaches this explicitly — stage spans then parent under
@@ -231,42 +308,42 @@ class StreamPipeline:
 
     # ------------------------------------------------------------------ internals
 
+    def _cancel_all(self) -> None:
+        """Set the cancel event and wake every thread blocked on a channel."""
+        self._cancel.set()
+        for channel in self._channels:
+            channel.wake()
+
     def _record_error(self, exc: BaseException) -> None:
         with self._error_lock:
             if self._error is None:
                 self._error = exc
-        self._cancel.set()
+        self._cancel_all()
 
-    def _put(self, q: "queue.Queue", item: Any, label: Optional[str] = None) -> None:
-        stalled = False
-        while True:
-            if self._cancel.is_set():
-                raise _Cancelled()
-            try:
-                q.put(item, timeout=_POLL_SECONDS)
-            except queue.Full:
+    def _put(self, channel: _Channel, item: Any, label: Optional[str] = None) -> None:
+        blocked, depth = channel.put(item)
+        if label is not None and telemetry.enabled():
+            if blocked:
                 # Count each put that blocked at least once: a high stall
                 # count on one queue names the slow stage downstream of it.
-                if label is not None and not stalled and telemetry.enabled():
-                    stalled = True
-                    telemetry.counter("pipeline.backpressure.stalls", pipeline=self.name, queue=label)
-                continue
-            if label is not None and telemetry.enabled():
-                # Sampled depth after our put; the snapshot keeps the
-                # high-water mark, i.e. how close the queue came to its bound.
-                telemetry.gauge("pipeline.queue.depth", q.qsize(), pipeline=self.name, queue=label)
-            return
+                telemetry.counter("pipeline.backpressure.stalls", pipeline=self.name, queue=label)
+            # Sampled depth after our put; the snapshot keeps the
+            # high-water mark, i.e. how close the queue came to its bound.
+            telemetry.gauge("pipeline.queue.depth", depth, pipeline=self.name, queue=label)
 
-    def _get(self, q: "queue.Queue") -> Any:
+    def _compute(self, produced: Iterable[Shard]) -> Iterator[Shard]:
+        """Step a stage's output generator, holding the compute token while it runs."""
+        shards = iter(produced)
         while True:
-            if self._cancel.is_set():
-                raise _Cancelled()
-            try:
-                return q.get(timeout=_POLL_SECONDS)
-            except queue.Empty:
-                continue
+            with self._compute_token:
+                if self._cancel.is_set():
+                    raise _Cancelled()
+                shard = next(shards, None)
+            if shard is None:
+                return
+            yield shard
 
-    def _feed(self, source: Iterable[Shard], out: "queue.Queue", sentinel: object) -> None:
+    def _feed(self, source: Iterable[Shard], out: _Channel, sentinel: object) -> None:
         token = telemetry.attach(self._context) if self._context is not None else None
         try:
             for shard in source:
@@ -280,14 +357,14 @@ class StreamPipeline:
             if token is not None:
                 telemetry.detach(token)
 
-    def _work(self, stage: Stage, inbox: "queue.Queue", out: "queue.Queue", sentinel: object) -> None:
+    def _work(self, stage: Stage, inbox: _Channel, out: _Channel, sentinel: object) -> None:
         token = telemetry.attach(self._context) if self._context is not None else None
         try:
             while True:
-                item = self._get(inbox)
+                item = inbox.get()
                 if item is sentinel:
                     with telemetry.span("pipeline.finish", pipeline=self.name, stage=stage.name):
-                        for shard in stage.finish():
+                        for shard in self._compute(stage.finish()):
                             self._put(out, shard, stage.name)
                     self._put(out, sentinel)
                     # Post-stream work runs with downstream already unblocked:
@@ -296,10 +373,12 @@ class StreamPipeline:
                     # the pipeline is already dead.
                     if not self._cancel.is_set():
                         with telemetry.span("pipeline.finalize", pipeline=self.name, stage=stage.name):
-                            stage.finalize()
+                            with self._compute_token:
+                                stage.finalize()
                     return
                 # The span covers shard service time *including* any blocked
-                # put downstream — stalls are separated out by the
+                # put downstream (and, if exclusive, any wait for the compute
+                # token) — stalls are separated out by the
                 # pipeline.backpressure.stalls counter on the outbound queue.
                 with telemetry.span(
                     "pipeline.stage",
@@ -308,7 +387,7 @@ class StreamPipeline:
                     shard=item.index,
                     items=len(item),
                 ):
-                    for shard in stage.process(item):
+                    for shard in self._compute(stage.process(item)):
                         self._put(out, shard, stage.name)
         except _Cancelled:
             pass
@@ -342,7 +421,8 @@ class StreamPipeline:
         for stage in self.stages:
             stage.bind_abort(self._cancel.is_set)
         sentinel = object()
-        queues: List["queue.Queue"] = [queue.Queue(maxsize=self.queue_depth) for _ in range(len(self.stages) + 1)]
+        queues = [_Channel(self.queue_depth, self._cancel) for _ in range(len(self.stages) + 1)]
+        self._channels = queues
         threads = [
             threading.Thread(
                 target=self._feed, args=(source, queues[0], sentinel), name=f"{self.name}-source", daemon=True
@@ -364,7 +444,7 @@ class StreamPipeline:
         stopped = False
         try:
             while True:
-                item = self._get(queues[-1])
+                item = queues[-1].get()
                 if item is sentinel:
                     break
                 collected.append(item)
@@ -372,7 +452,7 @@ class StreamPipeline:
                     consume(item)
         except StopPipeline:
             stopped = True
-            self._cancel.set()
+            self._cancel_all()
         except _Cancelled:
             pass
         except BaseException as exc:  # noqa: BLE001 - re-raised below
@@ -382,7 +462,7 @@ class StreamPipeline:
             # finalize() work is part of the pipeline's contract, so run()
             # only returns once all side-channel results are in place.
             if self._error is not None or stopped:
-                self._cancel.set()
+                self._cancel_all()
             for thread in threads:
                 thread.join()
         if self._error is not None:
@@ -397,18 +477,18 @@ class StreamPipeline:
 
 @dataclass(frozen=True)
 class PipelineSpec:
-    """How the tally's dataflow should be scheduled.
+    """How the tally's dataflow is cut into shards.
 
-    ``streaming=False`` is the serial reference path (each phase runs to
-    completion).  With ``streaming=True``, shards of ``shard_size`` items
-    flow through the stages concurrently, with every inter-stage queue
-    bounded at ``queue_depth`` shards.  Both schedules produce bit-identical
-    published output; only the wall clock moves.
+    Shards of ``shard_size`` items flow through the stages concurrently, with
+    every inter-stage queue bounded at ``queue_depth`` shards.  The default —
+    one shard holding the whole stream, queue depth 1 — is the serial
+    schedule: each stage receives all of its input at once, so the phases
+    run one after another.  Every geometry publishes bit-identical output;
+    only the wall clock moves.
     """
 
-    streaming: bool = False
-    shard_size: int = DEFAULT_SHARD_SIZE
-    queue_depth: int = DEFAULT_QUEUE_DEPTH
+    shard_size: int = sys.maxsize
+    queue_depth: int = 1
 
     def __post_init__(self) -> None:
         if self.shard_size < 1:
@@ -417,14 +497,10 @@ class PipelineSpec:
             raise ValueError("pipeline queue depth must be >= 1")
 
 
-#: The serial reference schedule (what ``pipeline_spec="serial"`` selects).
-SERIAL_PIPELINE = PipelineSpec(streaming=False)
-
-
 def pipeline_from_spec(spec: Optional[str]) -> PipelineSpec:
     """Build a :class:`PipelineSpec` from a config string.
 
-    Accepted forms: ``"serial"`` (the default reference schedule) and
+    Accepted forms: ``"serial"`` (the default: one shard, queue depth 1) and
     ``"stream"``, ``"stream:<shard_size>"``,
     ``"stream:<shard_size>:<queue_depth>"``.
     """
@@ -433,7 +509,7 @@ def pipeline_from_spec(spec: Optional[str]) -> PipelineSpec:
     if kind in ("serial", "off"):
         if rest:
             raise ValueError(f"the serial pipeline takes no parameters: {spec!r}")
-        return SERIAL_PIPELINE
+        return PipelineSpec()
     if kind != "stream":
         raise ValueError(f"unknown pipeline spec {spec!r}; expected 'serial' or 'stream[:shard[:depth]]'")
     size_text, _, depth_text = rest.partition(":")
@@ -442,4 +518,4 @@ def pipeline_from_spec(spec: Optional[str]) -> PipelineSpec:
         queue_depth = int(depth_text) if depth_text else DEFAULT_QUEUE_DEPTH
     except ValueError as exc:
         raise ValueError(f"invalid pipeline spec {spec!r}") from exc
-    return PipelineSpec(streaming=True, shard_size=shard_size, queue_depth=queue_depth)
+    return PipelineSpec(shard_size=shard_size, queue_depth=queue_depth)

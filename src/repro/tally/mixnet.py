@@ -22,12 +22,12 @@ from repro.errors import VerificationError
 from repro.runtime.batch import batch_reencryption_verify
 from repro.runtime.executor import Executor, SerialExecutor, resolve_executor
 from repro.runtime.pipeline import (
-    MapStage,
+    DEFAULT_QUEUE_DEPTH,
+    DEFAULT_SHARD_SIZE,
     PipelineSpec,
     Shard,
     ShardReassembler,
     Stage,
-    StopPipeline,
     StreamPipeline,
     iter_shards,
     shard_boundaries,
@@ -331,6 +331,7 @@ def tuple_mix_cascade(
     rounds: int = DEFAULT_SOUNDNESS_ROUNDS,
     executor: Optional[Executor] = None,
 ) -> TupleCascade:
+    """The reference cascade: each mixer's whole shuffle and proof, one after another."""
     stages: List[TupleShuffle] = []
     current = list(inputs)
     for index in range(num_mixers):
@@ -339,18 +340,6 @@ def tuple_mix_cascade(
         stages.append(stage)
         current = stage.outputs
     return TupleCascade(stages=stages)
-
-
-def _verify_stage(
-    elgamal: ElGamal,
-    public_key: GroupElement,
-    inputs: Sequence[CiphertextTuple],
-    stage: TupleShuffle,
-    batch: bool,
-) -> bool:
-    # Runs inside a worker: keep nested execution strictly serial so a forked
-    # pool object is never re-entered from a child process.
-    return verify_tuple_shuffle(elgamal, public_key, inputs, stage, executor=SerialExecutor(), batch=batch)
 
 
 def verify_tuple_cascade(
@@ -552,74 +541,22 @@ def streaming_tuple_mix_cascade(
 ) -> TupleCascade:
     """The streaming counterpart of :func:`tuple_mix_cascade`.
 
-    Bit-identical to the serial cascade for a fixed randomness tape (plans
-    are drawn up front in serial order; everything downstream of the draws is
+    Bit-identical to the reference cascade for a fixed randomness tape (plans
+    are drawn up front in its order; everything downstream of the draws is
     deterministic), but mixers overlap: mixer *i+1* consumes output shards
-    while mixer *i* still computes its shadow proof.
+    while mixer *i* still computes its shadow proof.  ``pipeline`` sets the
+    shard geometry (``"stream"``'s defaults when omitted).
     """
     items = list(inputs)
-    spec = pipeline if pipeline is not None else PipelineSpec(streaming=True)
-    if not spec.streaming or not items or num_mixers == 0:
+    spec = pipeline if pipeline is not None else PipelineSpec(DEFAULT_SHARD_SIZE, DEFAULT_QUEUE_DEPTH)
+    if not items or num_mixers == 0:
         return tuple_mix_cascade(elgamal, public_key, items, num_mixers, rounds, executor=executor)
     ex = resolve_executor(executor)
     ex.warm()  # fork any process pool before pipeline threads exist
     plans = plan_tuple_cascade(elgamal, len(items), len(items[0]), num_mixers, rounds)
     boundaries = shard_boundaries(len(items), spec.shard_size)
     stages = make_mixer_stages(elgamal, public_key, plans, boundaries, executor=ex)
-    StreamPipeline(stages, queue_depth=spec.queue_depth, name="mix-cascade").run(
-        iter_shards(items, spec.shard_size)
-    )
-    return TupleCascade(stages=[stage.result for stage in stages])
-
-
-def _verify_stage_args(args) -> bool:
-    """Unpack one whole-stage verification task — module-level for pickling."""
-    return _verify_stage(*args)
-
-
-def streaming_verify_tuple_cascade(
-    elgamal: ElGamal,
-    public_key: GroupElement,
-    inputs: Sequence[CiphertextTuple],
-    cascade: TupleCascade,
-    executor: Optional[Executor] = None,
-    pipeline: Optional[PipelineSpec] = None,
-    batch: bool = True,
-) -> bool:
-    """Stage-parallel cascade verification with first-failure cancellation.
-
-    Streams the per-stage shuffle checks (the same task granularity — and
-    thus the same one-copy-of-inputs-per-stage serialization cost — as
-    :func:`verify_tuple_cascade`) through the pipeline scheduler, and
-    cancels outstanding stages as soon as one fails: an auditor rejecting a
-    corrupted transcript pays for the failing stage, not the whole cascade.
-    """
-    spec = pipeline if pipeline is not None else PipelineSpec(streaming=True)
-    if not spec.streaming:
-        return verify_tuple_cascade(elgamal, public_key, inputs, cascade, executor=executor, batch=batch)
-    tasks = []
-    current = list(inputs)
-    for stage in cascade.stages:
-        tasks.append((elgamal, public_key, current, stage, batch))
-        current = stage.outputs
-    if not tasks:
-        return True
-    ex = resolve_executor(executor)
-    ex.warm()
-    verdicts: List[bool] = []
-
-    def _stop_on_failure(shard: Shard) -> None:
-        verdicts.extend(shard.items)
-        if not all(shard.items):
-            raise StopPipeline()
-
-    # One shard per worker-complement of stages: the executor fans out within
-    # a shard (full parallelism, like the serial verifier), cancellation cuts
-    # between shards.
-    shard_size = min(max(1, ex.num_workers), len(tasks))
     StreamPipeline(
-        [MapStage(_verify_stage_args, executor=ex, name="verify-stage", chunksize=1)],
-        queue_depth=spec.queue_depth,
-        name="verify-cascade",
-    ).run(iter_shards(tasks, shard_size), consume=_stop_on_failure)
-    return len(verdicts) == len(tasks) and all(verdicts)
+        stages, queue_depth=spec.queue_depth, name="mix-cascade", exclusive=isinstance(ex, SerialExecutor)
+    ).run(iter_shards(items, spec.shard_size))
+    return TupleCascade(stages=[stage.result for stage in stages])

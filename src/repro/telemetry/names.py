@@ -4,11 +4,11 @@ Every ``telemetry.span`` / ``counter`` / ``gauge`` / ``histogram`` call site
 must pass a string literal drawn from this module (enforced statically by
 ``repro.analysis`` rule REP005).  Two properties hang off that discipline:
 
-- **Schedule-independent traces.**  The serial, streaming, and cluster
-  schedules of the same tally must emit identical span names, or trace
-  diffing (and the bench gates built on span aggregates) silently compares
-  different things.  A literal drawn from one registry cannot drift per
-  schedule the way an interpolated name can.
+- **Schedule-independent traces.**  The same tally on every shard
+  geometry and every executor, cluster included, must emit identical span
+  names, or trace diffing (and the bench gates built on span aggregates)
+  silently compares different things.  A literal drawn from one registry
+  cannot drift per geometry the way an interpolated name can.
 - **A closed cardinality budget.**  Dashboards and the Prometheus export
   enumerate this module; a name minted ad hoc at a call site is a metric
   nobody graphs and a cardinality leak nobody approved.

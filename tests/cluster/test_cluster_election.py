@@ -36,6 +36,7 @@ from repro.ledger.backends.sqlite import SQLiteBackend
 from repro.ledger.bulletin_board import BulletinBoard
 from repro.ledger.records import RegistrationRecord
 from repro.runtime.executor import executor_from_spec
+from repro.runtime.pipeline import pipeline_from_spec
 from repro.tally import mixnet
 from repro.tally.pipeline import TallyPipeline
 from repro.voting.ballot import make_ballot
@@ -116,7 +117,7 @@ def boards(group, workload, tmp_path_factory):
     sqlite.close()
 
 
-def _run_tally(group, authority, tagging, board, executor):
+def _run_tally(group, authority, tagging, board, executor, pipeline_spec="serial"):
     with seeded_tape(SEED):
         pipeline = TallyPipeline(
             group=group,
@@ -125,6 +126,7 @@ def _run_tally(group, authority, tagging, board, executor):
             proof_rounds=PROOF_ROUNDS,
             executor=executor,
             tagging=tagging,
+            pipeline=pipeline_from_spec(pipeline_spec),
             read_page_size=PAGE_SIZE,
         )
         return pipeline.run(board, NUM_OPTIONS, "default")
@@ -198,6 +200,29 @@ class TestBitIdentityMatrix:
         # The watermark reached the cursor a resumed read would continue from.
         final_page = view.read_ballots(since=0, limit=len(ballots) + 1)
         assert tracker.acked_cursor == final_page.next_cursor
+
+    def test_streamed_cluster_tally_checks_signatures_through_the_cursor_feed(
+        self, group, workload, boards, cluster_executor, monkeypatch
+    ):
+        """A remote executor signature-checks through the cursor-page feed
+        whatever the shard geometry, and the result stays bit-identical."""
+        from repro.cluster import feeds
+
+        authority, tagging, _, _, ballots = workload
+        board = boards["memory"]
+        reference = _run_tally(group, authority, tagging, board, executor_from_spec("serial"))
+        acked = []
+        feed = feeds.cluster_valid_ballots
+
+        def counting_feed(view, election_id, executor, **kwargs):
+            valid, tracker = feed(view, election_id, executor, **kwargs)
+            acked.append(tracker.acked_cursor)
+            return valid, tracker
+
+        monkeypatch.setattr(feeds, "cluster_valid_ballots", counting_feed)
+        streamed = _run_tally(group, authority, tagging, board, cluster_executor, "stream:2")
+        assert streamed == reference
+        assert acked == [as_board_view(board).read_ballots(since=0, limit=len(ballots) + 1).next_cursor]
 
 
 class TestClusterElectionEndToEnd:

@@ -14,6 +14,7 @@ from repro.cluster.protocol import (
     MAGIC,
     PICKLE_CODEC,
     PROTOCOL_VERSION,
+    TASK_TRACE_INDEX,
     Codec,
     ConnectionClosed,
     Frame,
@@ -30,6 +31,7 @@ from repro.cluster.protocol import (
     verify_welcome,
     welcome_mac,
 )
+from repro.cluster.worker import WorkerDaemon
 from repro.errors import ClusterError
 
 
@@ -108,6 +110,29 @@ class TestExpectFrame:
         send_frame(left, Frame(FrameKind.ERROR, (None, "enrollment MAC verification failed")))
         with pytest.raises(ClusterError, match="MAC verification failed"):
             expect_frame(right, FrameKind.WELCOME)
+
+
+class TestTaskFrameShape:
+    """A TASK is exactly (key, mode, fn, data, trace); anything else is malformed."""
+
+    def _serve(self, pair, payload):
+        left, right = pair
+        worker = WorkerDaemon(("127.0.0.1", 0), worker_id="w1")
+        worker._sock = right
+        send_frame(left, Frame(FrameKind.TASK, payload))
+        send_frame(left, Frame(FrameKind.SHUTDOWN))
+        worker._serve()
+        return recv_frame(left)
+
+    def test_five_element_task_is_served(self, pair):
+        assert TASK_TRACE_INDEX == 4
+        reply = self._serve(pair, (7, "map", abs, [-1, 2, -3], ""))
+        assert reply.kind is FrameKind.RESULT
+        assert reply.payload == (7, [1, 2, 3])
+
+    def test_four_element_task_is_rejected(self, pair):
+        with pytest.raises(ClusterError, match="malformed TASK frame"):
+            self._serve(pair, (7, "map", abs, [-1, 2, -3]))
 
 
 class _JsonCodec(Codec):

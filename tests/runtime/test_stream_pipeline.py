@@ -255,6 +255,35 @@ def test_finalize_overlaps_downstream():
     assert upstream.finalized_after_downstream
 
 
+def test_exclusive_pipeline_computes_one_stage_at_a_time():
+    """``exclusive`` serializes stage work (process and finalize) without
+    deadlocking on full queues, and changes nothing in the output."""
+    lock = threading.Lock()
+    running = [0, 0]  # [now, peak]
+
+    def busy():
+        with lock:
+            running[0] += 1
+            running[1] = max(running[1], running[0])
+        time.sleep(0.002)
+        with lock:
+            running[0] -= 1
+
+    class Busy(Stage):
+        def process(self, shard):
+            busy()
+            yield shard
+
+        def finalize(self):
+            busy()
+
+    shards = StreamPipeline([Busy() for _ in range(4)], queue_depth=1, exclusive=True).run(
+        iter_shards(list(range(12)), 1)
+    )
+    assert _collect(shards) == list(range(12))
+    assert running[1] == 1
+
+
 def test_stateful_stage_with_tail_emission():
     class Batcher(Stage):
         """Re-batches items into pairs, emitting the remainder at finish()."""
@@ -284,34 +313,39 @@ def test_stateful_stage_with_tail_emission():
     assert [len(shard) for shard in shards] == [2, 2, 2, 2, 2, 1]
 
 
-def test_randomized_schedules_stay_deterministic():
-    """Many random shard/queue geometries must all produce the serial answer."""
+def test_randomized_schedules_stay_deterministic(pipeline_geometries):
+    """The tally's geometries and random ones must all produce the serial answer."""
     rng = random.Random(int(os.environ.get("REPRO_STRESS_ITERATION", "0")) + 1234)
     items = list(range(200))
     expected = [(2 * x + 1) for x in items]
-    for _ in range(5):
-        shard_size = rng.randrange(1, 9)
-        queue_depth = rng.randrange(1, 5)
+    geometries = list(pipeline_geometries) + [
+        PipelineSpec(shard_size=rng.randrange(1, 9), queue_depth=rng.randrange(1, 5)) for _ in range(5)
+    ]
+    for spec in geometries:
         shards = StreamPipeline(
-            [MapStage(_double), MapStage(_add_one)], queue_depth=queue_depth
-        ).run(iter_shards(items, shard_size))
-        assert _collect(shards) == expected, f"shard={shard_size} depth={queue_depth}"
+            [MapStage(_double), MapStage(_add_one)], queue_depth=spec.queue_depth
+        ).run(iter_shards(items, spec.shard_size))
+        assert _collect(shards) == expected, f"geometry {spec}"
 
 
 # ----------------------------------------------------------------- spec parsing
 
 
 def test_pipeline_spec_defaults():
-    assert pipeline_from_spec(None) == PipelineSpec(streaming=False)
-    assert pipeline_from_spec("serial").streaming is False
-    assert pipeline_from_spec("off").streaming is False
+    """``serial`` is the one-shard geometry: every item in one shard, depth 1."""
+    serial = PipelineSpec()
+    assert pipeline_from_spec(None) == serial
+    assert pipeline_from_spec("serial") == serial
+    assert pipeline_from_spec("off") == serial
+    assert serial.queue_depth == 1
+    assert shard_boundaries(10_000, serial.shard_size) == [(0, 10_000)]
 
 
 def test_pipeline_spec_streaming_forms():
     spec = pipeline_from_spec("stream")
-    assert spec == PipelineSpec(True, DEFAULT_SHARD_SIZE, DEFAULT_QUEUE_DEPTH)
-    assert pipeline_from_spec("stream:64") == PipelineSpec(True, 64, DEFAULT_QUEUE_DEPTH)
-    assert pipeline_from_spec("stream:64:8") == PipelineSpec(True, 64, 8)
+    assert spec == PipelineSpec(DEFAULT_SHARD_SIZE, DEFAULT_QUEUE_DEPTH)
+    assert pipeline_from_spec("stream:64") == PipelineSpec(64, DEFAULT_QUEUE_DEPTH)
+    assert pipeline_from_spec("stream:64:8") == PipelineSpec(64, 8)
 
 
 @pytest.mark.parametrize("bad", ["serial:2", "stream:x", "stream:0", "stream:4:0", "warp"])

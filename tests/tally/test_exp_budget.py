@@ -14,8 +14,11 @@ Off: per member, one blinding exponentiation per ciphertext component and
 one bare decryption factor.  On: per member, the two components' blinding,
 two tagging proofs (a variable-base and a generator commitment each) and a
 proven decryption share (its factor, ``c1^w`` and ``g^w``).  The counts are
-exact on both schedules and for a group with and without fixed-base tables,
-so any exponentiation computed twice or thrown away fails this test.
+exact under every shard geometry of the tally's one schedule (``serial``:
+one shard holding every item; ``stream``: the other geometries of the
+``pipeline_geometries`` fixture) and for a group with and without
+fixed-base tables, so any exponentiation computed twice or thrown away
+fails this test.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ import pytest
 from repro.bench.workloads import tally_workload
 from repro.crypto.group import Group
 from repro.crypto.modp_group import ModPElement, modp_group_256, testing_group
-from repro.runtime.pipeline import PipelineSpec
 from repro.runtime.precompute import FixedBaseTable
 from repro.tally import decrypt as tally_decrypt
 from repro.tally import filter as tally_filter
@@ -43,11 +45,6 @@ NUM_MEMBERS = 3
 BUDGET = {
     False: {"tag": (3, 0), "decrypt": (1, 0)},
     True: {"tag": (6, 3), "decrypt": (2, 1)},
-}
-
-SCHEDULES = {
-    "serial": None,
-    "stream": PipelineSpec(streaming=True, shard_size=2, queue_depth=2),
 }
 
 GROUPS = {"toy": testing_group, "modp-256": modp_group_256}
@@ -111,32 +108,35 @@ def counter(monkeypatch):
 
 
 @pytest.mark.parametrize("group_name", sorted(GROUPS))
-@pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+@pytest.mark.parametrize("schedule", ["serial", "stream"])
 @pytest.mark.parametrize("evidence", [False, True], ids=["evidence-off", "evidence-on"])
-def test_tag_and_decrypt_budget_is_exact(counter, group_name, schedule, evidence):
+def test_tag_and_decrypt_budget_is_exact(counter, pipeline_geometries, group_name, schedule, evidence):
     group = GROUPS[group_name]()
     authority, board = tally_workload(group, NUM_VOTERS, num_options=2, num_authority_members=NUM_MEMBERS)
-    result = TallyPipeline(
-        group=group,
-        authority=authority,
-        num_mixers=2,
-        proof_rounds=2,
-        pipeline=SCHEDULES[schedule],
-        collect_evidence=evidence,
-    ).run(board, 2)
-    board.close()
+    one_shard, *streamed = pipeline_geometries
+    for spec in [one_shard] if schedule == "serial" else streamed:
+        counter.counts.clear()
+        result = TallyPipeline(
+            group=group,
+            authority=authority,
+            num_mixers=2,
+            proof_rounds=2,
+            pipeline=spec,
+            collect_evidence=evidence,
+        ).run(board, 2)
 
-    tags = len(result.filter_result.registration_tags) + len(result.filter_result.ballot_tags)
-    assert (tags, result.num_counted) == (2 * NUM_VOTERS, NUM_VOTERS)
-    (tag_full, tag_generator), (vote_full, vote_generator) = (
-        BUDGET[evidence]["tag"], BUDGET[evidence]["decrypt"]
-    )
-    n = NUM_MEMBERS
-    expected = {
-        ("tag", "full"): tag_full * n * tags,
-        ("tag", "generator"): tag_generator * n * tags,
-        ("decrypt", "full"): vote_full * n * result.num_counted,
-        ("decrypt", "generator"): vote_generator * n * result.num_counted,
-    }
-    assert +counter.counts == +Counter(expected)
-    assert (result.evidence is not None) == evidence
+        tags = len(result.filter_result.registration_tags) + len(result.filter_result.ballot_tags)
+        assert (tags, result.num_counted) == (2 * NUM_VOTERS, NUM_VOTERS)
+        (tag_full, tag_generator), (vote_full, vote_generator) = (
+            BUDGET[evidence]["tag"], BUDGET[evidence]["decrypt"]
+        )
+        n = NUM_MEMBERS
+        expected = {
+            ("tag", "full"): tag_full * n * tags,
+            ("tag", "generator"): tag_generator * n * tags,
+            ("decrypt", "full"): vote_full * n * result.num_counted,
+            ("decrypt", "generator"): vote_generator * n * result.num_counted,
+        }
+        assert +counter.counts == +Counter(expected), f"geometry {spec}"
+        assert (result.evidence is not None) == evidence
+    board.close()

@@ -34,7 +34,7 @@ NUM_MEMBERS = 3
 NUM_MIXERS = 2
 PROOF_ROUNDS = 2
 #: Required advantage of the batched strategy over eager (CI gate).
-REQUIRED_SPEEDUP = 1.5
+REQUIRED_SPEEDUP = 3.0
 
 
 def test_batched_verification_outpaces_eager():

@@ -14,12 +14,12 @@ metrics of a fresh run against snapshots committed under
   or its result file is missing outright.
 
 Only machine-independent *ratios* are gated (telemetry overhead ratios,
-gateway batching speedup, cluster-of-one overhead): absolute wall-clock
-differs per runner and would flake, but a ratio of two timings taken on the
-same machine in the same process is comparable across machines.  Noisy
-ratios may carry per-metric ``warn``/``fail`` overrides in their baseline
-entry — looser bands are a property of the *metric*, recorded next to its
-value, not a global knob.
+gateway batching speedup, cluster-of-one overhead, batched-vs-eager audit
+speedup): absolute wall-clock differs per runner and would flake, but a
+ratio of two timings taken on the same machine in the same process is
+comparable across machines.  Noisy ratios may carry per-metric
+``warn``/``fail`` overrides in their baseline entry — looser bands are a
+property of the *metric*, recorded next to its value, not a global knob.
 
 Baselines are ordinary JSON snapshots::
 

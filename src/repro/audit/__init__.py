@@ -4,8 +4,9 @@ Every proof obligation in the system is a typed :class:`Check` collected
 into an :class:`AuditPlan` and executed by a pluggable :class:`Verifier`:
 
 * ``eager`` — reference one-by-one semantics;
-* ``batched`` — same-kind checks folded into random-linear-combination
-  batch equations (:mod:`repro.runtime.batch`), bisected on rejection;
+* ``batched`` (the default, :data:`DEFAULT_AUDIT_SPEC`) — same-kind checks
+  folded into random-linear-combination batch equations
+  (:mod:`repro.runtime.batch`), bisected on rejection;
 * ``stream`` — check shards riding :mod:`repro.runtime.pipeline` with
   first-failure cancellation;
 * ``dist`` — contiguous check shards shipped one task each over the
@@ -22,6 +23,7 @@ bool-returning shims over this API.  Select a strategy per election via
 
 from repro.audit.api import (
     AUDIT_API_VERSION,
+    DEFAULT_AUDIT_SPEC,
     AuditPlan,
     AuditReport,
     BatchedVerifier,
@@ -59,6 +61,7 @@ from repro.audit.kinds import CheckKind, get_kind, register_kind
 
 __all__ = [
     "AUDIT_API_VERSION",
+    "DEFAULT_AUDIT_SPEC",
     "AuditPlan",
     "AuditReport",
     "BatchedVerifier",

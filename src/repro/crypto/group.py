@@ -128,6 +128,14 @@ class Group(abc.ABC):
         whose discrete log relative to ``g`` must be unknown.
         """
 
+    def is_member(self, element: GroupElement) -> bool:
+        """Whether ``element`` lies in the prime-order group.
+
+        True here: groups whose decoder admits only members (Ed25519) need no
+        check.  Groups whose encodings admit non-members override this.
+        """
+        return True
+
     # Scalar helpers ---------------------------------------------------------
 
     def random_scalar(self) -> int:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro import telemetry
-from repro.audit.api import Verifier, verifier_from_spec
+from repro.audit.api import DEFAULT_AUDIT_SPEC, Verifier, verifier_from_spec
 from repro.crypto import bigint
 from repro.crypto.group import Group
 from repro.crypto.modp_group import testing_group
@@ -52,8 +52,8 @@ class ElectionConfig:
     publishes bit-identical results; only the wall clock moves.
 
     ``audit_spec`` selects the :mod:`repro.audit` verification strategy —
-    ``"batched[:chunk]"`` (default, matching the historical ``batch=True``
-    verification path: same-kind checks folded into RLC batch equations,
+    ``"batched[:chunk]"`` (default, :data:`~repro.audit.api.DEFAULT_AUDIT_SPEC`:
+    same-kind checks folded into RLC batch equations,
     bisected on failure to exact per-check verdicts), ``"eager"`` (reference
     one-by-one checking), ``"stream[:shard[:depth]]"`` (check shards with
     first-failure cancellation) or ``"dist[:shard]"`` (contiguous check
@@ -117,7 +117,7 @@ class ElectionConfig:
     executor_spec: str = "serial"
     board_spec: str = "memory"
     pipeline_spec: str = "serial"
-    audit_spec: str = "batched"
+    audit_spec: str = DEFAULT_AUDIT_SPEC
     audit_evidence: bool = False
     telemetry_spec: str = "off"
     bigint_spec: str = "auto"

@@ -25,6 +25,7 @@ import sys
 from typing import Dict, List, Optional
 
 from repro import telemetry
+from repro.audit.api import DEFAULT_AUDIT_SPEC
 from repro.crypto.registry import GROUP_NAMES
 from repro.gateway.governor import GovernorConfig
 from repro.gateway.routes import GatewayServer
@@ -61,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--port", type=int, default=0, help="bind port (default ephemeral)")
     parser.add_argument("--board-spec", default="memory", help="ledger backend per tenant")
     parser.add_argument("--executor-spec", default="serial", help="tally executor backend")
-    parser.add_argument("--audit-spec", default="batched", help="audit verification strategy")
+    parser.add_argument("--audit-spec", default=DEFAULT_AUDIT_SPEC, help="audit verification strategy")
     parser.add_argument(
         "--group", default="toy", choices=GROUP_NAMES(), help="default election group"
     )

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import telemetry
+from repro.audit.api import DEFAULT_AUDIT_SPEC
 from repro.crypto.registry import group_by_name
 from repro.errors import GatewayError
 from repro.gateway.governor import GovernorConfig, TenantGovernor
@@ -95,7 +96,7 @@ class ServiceConfig:
     group_name: str = "toy"
     board_spec: str = "memory"
     executor_spec: str = "serial"
-    audit_spec: str = "batched"
+    audit_spec: str = DEFAULT_AUDIT_SPEC
     num_mixers: int = 2
     proof_rounds: int = 2
     governor: GovernorConfig = field(default_factory=GovernorConfig.from_env)
@@ -613,7 +614,7 @@ def service_from_config(config: Any) -> GatewayService:
             group_name=group_name,
             board_spec=getattr(config, "board_spec", "memory"),
             executor_spec=getattr(config, "executor_spec", "serial"),
-            audit_spec=getattr(config, "audit_spec", "batched"),
+            audit_spec=getattr(config, "audit_spec", DEFAULT_AUDIT_SPEC),
             num_mixers=getattr(config, "num_mixers", 2),
             proof_rounds=getattr(config, "proof_rounds", 2),
             governor=GovernorConfig.from_env(),

@@ -28,6 +28,20 @@ Batch checks are probabilistic accept/reject for the *whole* batch; callers
 that need per-item verdicts use :func:`verify_signatures` which falls back to
 a bisecting search only when a batch fails (the common all-valid case stays
 on the fast path).
+
+The small-exponents test is sound only when every base lies in the
+prime-order group.  A mod-p element decodes without a membership check, and
+``-x`` is outside the quadratic-residue subgroup whenever ``x`` is inside
+it; with odd weights, two such sign flips cancel in the product and an
+invalid batch would pass (Boyd–Pavlovski, ASIACRYPT 2000).  Every fold
+therefore rejects outright when a base is not a subgroup member
+(:meth:`ProductAccumulator.bases_are_members`, one Jacobi symbol per distinct
+mod-p base); callers that need exact verdicts then fall back to the per-item
+reference checks.  Ed25519 needs no gate: its decoder already rejects points
+outside the prime-order subgroup, so its :meth:`Group.is_member` is always
+True.  The tally drops ballots holding a non-member when it reads the ledger
+(``TallyPipeline._valid_ballots``), so a voter cannot push non-members into
+the mix and send every fold over its cascade to the reference checks.
 """
 
 from __future__ import annotations
@@ -95,6 +109,15 @@ class ProductAccumulator:
         else:
             self._terms[key] = (entry[0], (entry[1] + exponent) % self._group.order)
 
+    def bases_are_members(self) -> bool:
+        """Whether every base lies in the prime-order group (the fold's soundness premise).
+
+        Checks every base ever multiplied in, including those whose summed
+        exponent cancelled to zero (:meth:`Group.is_member`).
+        """
+        is_member = self._group.is_member
+        return all(is_member(base) for base, _ in self._terms.values())
+
     def value(self) -> GroupElement:
         bases: List[GroupElement] = []
         exponents: List[int] = []
@@ -103,6 +126,11 @@ class ProductAccumulator:
                 bases.append(base)
                 exponents.append(exponent)
         return multi_element_power(self._group, bases, exponents)
+
+
+def _products_equal(lhs: ProductAccumulator, rhs: ProductAccumulator) -> bool:
+    """``lhs == rhs``, refused outright when either side has a non-member base."""
+    return lhs.bases_are_members() and rhs.bases_are_members() and lhs.value() == rhs.value()
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +159,7 @@ def batch_schnorr_verify(items: Sequence[SignatureItem], weight_bits: int = DEFA
         response_sum = (response_sum + weight * signature.response) % group.order
         rhs.multiply(signature.commitment, weight)
         rhs.multiply(public, weight * challenge)
-    return group.power(response_sum) == rhs.value()
+    return rhs.bases_are_members() and group.power(response_sum) == rhs.value()
 
 
 def _verify_signature_chunk(items: Sequence[SignatureItem]) -> List[bool]:
@@ -197,7 +225,7 @@ def batch_chaum_pedersen_verify(
         lhs.multiply(statement.base_h, w_h * response)
         lhs.multiply(statement.value_h, w_h * challenge)
         rhs.multiply(transcript.commit.commit_h, w_h)
-    return lhs.value() == rhs.value()
+    return _products_equal(lhs, rhs)
 
 
 def decryption_share_transcript(
@@ -294,7 +322,7 @@ def batch_dlog_verify(items: Sequence[DlogItem], weight_bits: int = DEFAULT_WEIG
         lhs.multiply(proof.base, weight * proof.response)
         lhs.multiply(proof.value, (-weight * challenge) % order)
         rhs.multiply(proof.commitment, weight)
-    return lhs.value() == rhs.value()
+    return _products_equal(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -335,4 +363,4 @@ def batch_reencryption_verify(
         rhs.multiply(target.c2, w2)
     lhs.multiply(group.generator, generator_exponent)
     lhs.multiply(public_key, key_exponent)
-    return lhs.value() == rhs.value()
+    return _products_equal(lhs, rhs)

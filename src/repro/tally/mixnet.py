@@ -241,13 +241,16 @@ def check_round_mapping(
     compare); ``batch=True`` replaces the per-item equations with one
     random-linear-combination product over every (component, item) pair —
     two full-width exponentiations for the whole opening instead of two per
-    ciphertext component.
+    ciphertext component.  A rejected product (an invalid opening, or a
+    ciphertext outside the subgroup, which the fold refuses) falls back to
+    the reference path, so both paths give the same verdict.
     """
     if batch and len(sources) > 1:
         items = round_mapping_items(sources, targets, opening)
         if items is None:
             return False
-        return batch_reencryption_verify(elgamal, public_key, items)
+        if batch_reencryption_verify(elgamal, public_key, items):
+            return True
     if sorted(opening.permutation) != list(range(len(sources))):
         return False
     if len(opening.randomness) != len(sources) or len(targets) != len(sources):

@@ -38,7 +38,7 @@ cascade.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import telemetry
 from repro.audit.evidence import EvidenceLog, TallyEvidence, build_tally_evidence
@@ -119,8 +119,31 @@ def _ballot_signature_items(records: List[BallotRecord]) -> List[Tuple]:
     return items
 
 
+def valid_ballot_page(
+    records: Sequence[BallotRecord], executor: Optional[Executor] = None
+) -> List[BallotRecord]:
+    """The ballots of one ledger page whose elements are group members and
+    whose signature verifies, in ledger order.
+
+    The membership check (one Jacobi symbol per element on a mod-p group,
+    free on Ed25519) comes first: a non-member ``c1`` stays a non-member
+    through every re-encryption, and each batch fold over the cascade would
+    refuse it and fall back to the per-item reference checks.
+    """
+    members = [
+        record
+        for record in records
+        if all(
+            element.group.is_member(element)
+            for element in (record.credential_public_key, record.ciphertext_c1, record.ciphertext_c2)
+        )
+    ]
+    verdicts = verify_signatures(_ballot_signature_items(members), executor=executor)
+    return [record for record, ok in zip(members, verdicts) if ok]
+
+
 class _SignaturePageStage(Stage):
-    """Batch-verify one cursor page of ballots; emit the valid records."""
+    """Check one cursor page of ballots; emit the valid records."""
 
     name = "sig-check"
 
@@ -128,8 +151,7 @@ class _SignaturePageStage(Stage):
         self.executor = executor
 
     def process(self, shard: Shard):
-        verdicts = verify_signatures(_ballot_signature_items(shard.items), executor=self.executor)
-        yield Shard(shard.index, [record for record, ok in zip(shard.items, verdicts) if ok])
+        yield Shard(shard.index, valid_ballot_page(shard.items, executor=self.executor))
 
 
 class _TagStage(Stage):
@@ -259,7 +281,7 @@ class TallyPipeline:
         executor: Optional[Executor] = None,
         pipeline: Optional[PipelineSpec] = None,
     ) -> List[BallotRecord]:
-        """Signature-check and deduplicate the ballots on the ledger.
+        """Membership- and signature-check, then deduplicate, the ballots on the ledger.
 
         The ledger is consumed through cursor-based shard reads — ingestion
         can keep appending behind the cursor without this stage ever holding

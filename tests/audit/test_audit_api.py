@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.audit.api import (
+    DEFAULT_AUDIT_SPEC,
     AuditPlan,
     AuditReport,
     BatchedVerifier,
@@ -126,8 +127,9 @@ class TestStrategies:
 
 
 class TestSpecParsing:
-    def test_default_is_eager(self):
-        assert isinstance(verifier_from_spec(None), EagerVerifier)
+    def test_default_is_batched(self):
+        assert DEFAULT_AUDIT_SPEC == "batched"
+        assert isinstance(verifier_from_spec(None), BatchedVerifier)
         assert isinstance(verifier_from_spec("eager"), EagerVerifier)
 
     def test_batched_with_chunk(self):

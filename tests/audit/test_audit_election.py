@@ -159,6 +159,22 @@ class TestAuditElection:
         failing = {result_.name for result_ in report.failures}
         assert "evidence.join-consistent" in failing
 
+    def test_front_doors_default_to_batched(self, voted_election):
+        election, result = voted_election
+        args = (election.group, election.setup.authority, election.setup.board, result)
+        reference = audit_tally(*args, verifier="eager")
+        reports = [
+            audit_tally(*args),
+            audit_election(election.setup.board, authority=election.setup.authority, result=result),
+        ]
+        for report in reports:
+            assert report.strategy == "batched"
+            assert report.ok
+        assert reports[0].fingerprint() == reference.fingerprint()
+        assert reports[1].fingerprint() == audit_election(
+            election.setup.board, authority=election.setup.authority, result=result, verifier="eager"
+        ).fingerprint()
+
     def test_verify_tally_shim_parity(self, voted_election):
         from repro.tally.pipeline import verify_tally
 

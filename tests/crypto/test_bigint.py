@@ -8,6 +8,7 @@ leg only runs where gmpy2 is installed (CI's optional-deps job).
 """
 
 import os
+import random
 import subprocess
 import sys
 
@@ -140,3 +141,47 @@ class TestBitIdentity:
         value = 2**2047 + 12345
         assert hash(gmpy2.mpz(value)) == hash(value)
         assert int(gmpy2.mpz(value)) == value
+
+
+def _jacobi_by_definition(a: int, n: int) -> int:
+    """The Jacobi symbol as the product of Legendre symbols (Euler's criterion)."""
+    result, remaining, factor = 1, n, 3
+    while remaining > 1:
+        if remaining % factor == 0:
+            remaining //= factor
+            legendre = pow(a, (factor - 1) // 2, factor)
+            result *= -1 if legendre == factor - 1 else legendre
+        else:
+            factor += 2
+    return result
+
+
+class TestJacobi:
+    def test_matches_definition_on_small_moduli(self):
+        for n in range(1, 160, 2):
+            for a in range(-3, 2 * n):
+                assert bigint.jacobi(a, n) == _jacobi_by_definition(a, n), (a, n)
+
+    def test_rejects_even_or_non_positive_modulus(self):
+        for n in (0, -3, 8):
+            with pytest.raises(ValueError):
+                bigint.jacobi(3, n)
+
+    def test_decides_residuosity_modulo_a_2048_bit_safe_prime(self):
+        from repro.crypto.modp_group import modp_group_2048
+
+        group = modp_group_2048()
+        p, q = int(group.modulus), group.order
+        rng = random.Random(2048)
+        for _ in range(8):
+            value = rng.randrange(1, p)
+            assert (bigint.jacobi(value, p) == 1) == (pow(value, q, p) == 1)
+
+    @pytest.mark.skipif(not HAS_GMPY2, reason="gmpy2 not installed")
+    def test_backends_agree(self):
+        python, native = bigint.resolve_backend("python"), bigint.resolve_backend("gmpy2")
+        modulus = 2**2203 - 1  # a Mersenne prime; any odd modulus will do
+        for value in [0, 1, 2, modulus - 1, 3**1000, 7**777 + 5, 2**2047 + 12345]:
+            expected = python.jacobi(value, modulus)
+            assert native.jacobi(native.convert(value), native.convert(modulus)) == expected
+            assert native.jacobi(value, 3 * 5 * 7 * 11) == python.jacobi(value, 3 * 5 * 7 * 11)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.crypto.modp_group import (
+    ModPGroup,
     modp_group_2048,
     modp_group_256,
     testing_group,
@@ -48,6 +49,23 @@ class TestMembership:
         while pow(candidate, group.order, group.modulus) == 1:
             candidate += 1
         assert not group.is_member(group.element(candidate))
+
+    @pytest.mark.parametrize("factory", [testing_group, modp_group_256, modp_group_2048])
+    def test_jacobi_membership_agrees_with_order_test(self, factory):
+        group = factory()
+        for _ in range(4):
+            member = group.power(group.random_scalar())
+            negated = group.element(group.modulus - member.value)
+            for element in (member, negated):
+                expected = pow(int(element.value), group.order, int(group.modulus)) == 1
+                assert group.is_member(element) == expected
+            assert group.is_member(member) and not group.is_member(negated)
+        assert not group.is_member(group.element(0))
+
+    def test_modulus_must_be_a_safe_prime(self):
+        group = testing_group()
+        with pytest.raises(ValueError, match="safe prime"):
+            ModPGroup("not-safe", group.modulus, group.order - 2, 4)
 
     def test_element_from_bytes_rejects_out_of_range(self):
         group = testing_group()
